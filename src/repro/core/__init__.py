@@ -5,7 +5,7 @@ Pure, deterministic graph/transaction algorithms — no engine, no Spark.
 from .dag import DAG, Operator, SubDAG, split_at_blocking
 from .fries import ReconfigPlan, plan_epoch, plan_general, plan_one_to_one
 from .mcs import brute_force_mcs, components, find_mcs, head_operators
-from .parallel import ParallelDataflow, channel_counts, expand
+from .parallel import ParallelDataflow, broadcast_adjusted, channel_counts, expand
 from .pruning import (
     ancestor_one_to_many,
     can_prune_edgewise,
@@ -38,6 +38,7 @@ __all__ = [
     "find_mcs",
     "head_operators",
     "ParallelDataflow",
+    "broadcast_adjusted",
     "channel_counts",
     "expand",
     "ancestor_one_to_many",

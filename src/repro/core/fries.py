@@ -3,9 +3,11 @@ epoch-based (EBR) plan used by the baseline.
 
 Planning is pure graph computation: given the dataflow DAG and the set of
 reconfiguration operators, produce a :class:`ReconfigPlan` describing where
-FCMs are sent and along which edges epoch markers are propagated. The
-runtime side (delivering FCMs, marker alignment, applying configurations)
-lives in :mod:`repro.engine.schedulers`.
+FCMs are sent and along which edges epoch markers are propagated. EBR is
+the special case whose single component is the whole DAG with the sources
+as heads (:func:`plan_epoch`). The runtime in :mod:`repro.engine.schedulers`
+executes any plan the same way: one epoch marker per component, scoped to
+the component's logical edges, started by FCMs to its head operators.
 """
 from __future__ import annotations
 
@@ -32,9 +34,8 @@ class ReconfigPlan:
         weakly-connected components of the MCS, each a synchronization unit.
     ``heads``
         per component, the operators receiving an FCM from the controller.
-    ``marker_edges``
-        the union of component-internal edges: the only edges on which
-        epoch markers are propagated (empty for singleton components).
+        A component's edges are the only edges on which its epoch marker
+        propagates (none for a singleton component).
     """
 
     reconfig_ops: frozenset[str]
@@ -42,13 +43,6 @@ class ReconfigPlan:
     mcs: SubDAG
     component_list: tuple[SubDAG, ...]
     heads: tuple[tuple[str, ...], ...]
-    marker_edges: frozenset[tuple[str, str]]
-
-    def component_of(self, op: str) -> SubDAG | None:
-        for c in self.component_list:
-            if op in c.vertices:
-                return c
-        return None
 
     def longest_path_length(self) -> int:
         """Max over components of the longest path (in edges) — the metric
@@ -84,14 +78,12 @@ def _plan_from_m(dag: DAG, reconfig_ops: frozenset[str], m: set[str]) -> Reconfi
     mcs = find_mcs(dag, m)
     comps = tuple(components(dag, mcs))
     heads = tuple(tuple(head_operators(c)) for c in comps)
-    marker_edges = frozenset(e for c in comps for e in c.edges)
     return ReconfigPlan(
         reconfig_ops=reconfig_ops,
         m=frozenset(m),
         mcs=mcs,
         component_list=comps,
         heads=heads,
-        marker_edges=marker_edges,
     )
 
 
@@ -132,7 +124,8 @@ def plan_general(dag: DAG, reconfig_ops: Iterable[str], *, prune: bool = True) -
 def plan_epoch(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
     """The EBR baseline expressed in the same plan shape: markers are
     injected at every source and aligned over the whole DAG, so the "MCS"
-    is the entire dataflow and every source is a head."""
+    is the entire dataflow and every source is a head (in ``dag.sources()``
+    order, which fixes the order the sources' FCMs are delivered in)."""
     ops = frozenset(reconfig_ops)
     vs = frozenset(dag.vertices)
     whole = SubDAG(vs, frozenset(dag.edges))
@@ -141,6 +134,5 @@ def plan_epoch(dag: DAG, reconfig_ops: Iterable[str]) -> ReconfigPlan:
         m=vs,
         mcs=whole,
         component_list=(whole,),
-        heads=(tuple(sorted(dag.sources())),),
-        marker_edges=frozenset(dag.edges),
+        heads=(tuple(dag.sources()),),
     )

@@ -11,19 +11,20 @@ worker-level data channels:
     worker i connects only to worker i (operator chaining / local forward;
     requires equal parallelism; p channels).
 ``broadcast``
-    p_a × p_b channels, and the paper treats the upstream worker as if a
-    Replicate operator followed it — worker-level vertices gain the
-    edge-wise one-to-one (hence one-to-many) property, so Algorithm 4's
-    pruning rules still apply.
+    p_a × p_b channels, and the paper treats the upstream operator as if a
+    Replicate operator followed it — :func:`broadcast_adjusted` gives it
+    the edge-wise one-to-one (hence one-to-many) property, on the logical
+    DAG and on its workers alike, so Algorithm 4's pruning rules still
+    apply.
 
 ``channel_counts`` reproduces Table 7: total worker-level data channels vs
 channels whose endpoints both lie in the MCS.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .dag import DAG, Operator
+from .dag import DAG
 from .fries import ReconfigPlan
 
 PARTITIONINGS = ("hash", "range", "rebalance", "forward", "broadcast")
@@ -31,10 +32,6 @@ PARTITIONINGS = ("hash", "range", "rebalance", "forward", "broadcast")
 
 def worker_name(op: str, i: int) -> str:
     return f"{op}#{i}"
-
-
-def base_op(worker: str) -> str:
-    return worker.rsplit("#", 1)[0]
 
 
 @dataclass(frozen=True)
@@ -53,13 +50,36 @@ class ParallelDataflow:
         return frozenset(w for o in reconfig_ops for w in self.workers(o))
 
 
+def broadcast_adjusted(dag: DAG, edge_strategy: dict[tuple[str, str], str]) -> DAG:
+    """§7.2's broadcast rule: an operator with a broadcast out-edge behaves
+    as if a Replicate operator followed it — one-to-many overall but
+    edge-wise one-to-one — so Algorithm 4's pruning rules apply unchanged.
+    Unlisted edges default to ``hash``."""
+    broadcasters = {e[0] for e in dag.edges if edge_strategy.get(e) == "broadcast"}
+    out = DAG()
+    for v in dag.topological_order():
+        o = dag.op(v)
+        bc = v in broadcasters
+        out.add_operator(
+            replace(
+                o,
+                one_to_many=o.one_to_many or bc,
+                edgewise_one_to_one=o.edgewise_one_to_one or (bc and not o.one_to_many),
+            )
+        )
+    for e in dag.edges:
+        out.add_edge(*e)
+    return out
+
+
 def expand(
     dag: DAG,
     parallelism: dict[str, int],
     edge_strategy: dict[tuple[str, str], str],
 ) -> ParallelDataflow:
     """Build G* = (V*, E*) from G, per-operator parallelism and per-edge
-    partitioning strategies. Unlisted edges default to ``hash``."""
+    partitioning strategies. Unlisted edges default to ``hash``; workers
+    take their operator's class from :func:`broadcast_adjusted`."""
     for op in dag.vertices:
         if parallelism.get(op, 1) < 1:
             raise ValueError(f"parallelism of {op!r} must be >= 1")
@@ -69,24 +89,12 @@ def expand(
         if s not in PARTITIONINGS:
             raise ValueError(f"unknown partitioning {s!r} for edge {e}")
         strategies[e] = s
+    adjusted = broadcast_adjusted(dag, strategies)
     wdag = DAG()
     for op in dag.topological_order():
-        o = dag.op(op)
-        # Broadcast on any out-edge ⇒ the worker behaves like (op + Replicate):
-        # one-to-many but edge-wise one-to-one (§7.2).
-        broadcasts = any(strategies[(a, b)] == "broadcast" for a, b in dag.edges if a == op)
+        o = adjusted.op(op)
         for i in range(parallelism.get(op, 1)):
-            wdag.add_operator(
-                Operator(
-                    worker_name(op, i),
-                    one_to_many=o.one_to_many or broadcasts,
-                    edgewise_one_to_one=o.edgewise_one_to_one
-                    or (broadcasts and not o.one_to_many),
-                    unique_per_txn=o.unique_per_txn,
-                    blocking=o.blocking,
-                    is_source=o.is_source,
-                )
-            )
+            wdag.add_operator(replace(o, name=worker_name(op, i)))
     for (a, b), s in strategies.items():
         pa, pb = parallelism.get(a, 1), parallelism.get(b, 1)
         if s == "forward":

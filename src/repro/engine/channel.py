@@ -40,6 +40,7 @@ class Channel:
         self.in_transit = 0
         self.dst: "Worker | None" = None  # wired by the simulator
         self.src: "Worker | None" = None
+        self.edge: tuple[str, str] | None = None  # logical (src_op, dst_op)
         self.blocked = False  # alignment block: dst must not consume
         self.head_seq = 0  # delivery sequence of current head (arrival order)
         self._next_seq = 0

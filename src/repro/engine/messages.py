@@ -4,10 +4,14 @@ Data messages and epoch/checkpoint markers travel through FIFO data
 channels (markers cannot overtake data — the source of epoch-based
 reconfiguration delay). FCMs (Def 4.1) travel on the control plane and are
 delivered to a worker with a small fixed latency, never queued behind data.
+
+An epoch marker's scope is a set of *logical* edges: the marker is aligned
+and forwarded on every worker channel that implements one of them, so a
+scope's size does not grow with parallelism.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 
@@ -28,15 +32,14 @@ class DataMsg:
 class EpochMarker:
     """An epoch marker (§3.1) with a propagation scope.
 
-    ``scope_id`` identifies the synchronization round; ``in_scope_edges``
-    and ``out_scope_edges`` are worker-level edges (src_worker, dst_worker)
-    on which the marker is aligned / forwarded (the whole DAG for EBR, one
-    MCS component for Fries); ``reconfig_workers`` apply the piggybacked
+    ``scope_id`` identifies the synchronization round; ``edges`` are the
+    logical edges (src_op, dst_op) of one plan component — the whole DAG
+    for EBR, one MCS component for Fries — on whose channels the marker is
+    aligned and forwarded; ``reconfig_workers`` apply the piggybacked
     reconfiguration when aligned."""
 
     scope_id: str
-    in_scope_edges: frozenset[tuple[str, str]]
-    out_scope_edges: frozenset[tuple[str, str]]
+    edges: frozenset[tuple[str, str]]
     reconfig_workers: frozenset[str]
 
 
@@ -51,6 +54,5 @@ class CheckpointMarker:
 class FCM:
     """A fast control message from the controller to one worker."""
 
-    kind: str  # "apply" | "start_markers" | "inject_marker" | "register" | "bump_version"
+    kind: str  # "start_markers" | "inject_ckpt" | "register" | "bump_version"
     payload: Any = None
-    extra: dict = field(default_factory=dict)

@@ -1,18 +1,26 @@
 """Runtime reconfiguration schedulers on the simulated engine.
 
 Each scheduler issues controller actions for a reconfiguration request at
-time ``t`` and defines how the reconfiguration delay is measured:
+time ``t`` and defines how the reconfiguration delay is measured.
 
-* :class:`FriesScheduler` — Algorithms 2/3/4 planned on the *worker-level*
-  DAG (§7.2): FCMs to each MCS component's head workers, epoch markers
-  only inside components.
-* :class:`EpochScheduler` — the EBR baseline (Chi): markers injected at
-  every source worker, aligned across the whole dataflow, reconfiguration
-  piggybacked.
-* :class:`SavepointScheduler` — Flink stop-and-restart: EBR alignment to
-  the sinks plus a fixed stop/restart overhead.
+The three consistent schedulers differ only in their
+:class:`~repro.core.fries.ReconfigPlan`; :class:`PlanScheduler` executes
+any plan the same way. For each plan component it builds one
+:class:`~repro.engine.messages.EpochMarker` scoped to the component's
+*logical* edges and sends a ``start_markers`` FCM to every worker of the
+component's head operators; the delay is the time until the last worker
+of the plan's reconfiguration operators has applied.
+
+* :class:`FriesScheduler` — Algorithms 2/3/4 on the broadcast-adjusted
+  logical DAG (§6.3, §7.2): markers only inside MCS components.
+* :class:`EpochScheduler` — the EBR baseline (Chi): :func:`plan_epoch`,
+  one component spanning the whole DAG with the sources as heads.
+* :class:`SavepointScheduler` — Flink stop-and-restart: the EBR plan with
+  the sinks added to the reconfiguration set, plus a fixed stop/restart
+  overhead.
 * :class:`NaiveFCMScheduler` — FCMs straight to the reconfiguration
-  workers; low delay but not conflict-serializable (§4.1).
+  workers (one singleton component per operator, no markers); low delay
+  but not conflict-serializable (§4.1).
 * :class:`MultiVersionScheduler` — the FCM multi-version scheduler (§4.1):
   consistent, but old-version in-flight tuples still processed under the
   old configuration, and double state.
@@ -22,8 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from repro.core.dag import DAG, Operator
-from repro.core.fries import ReconfigPlan, plan_general
+from repro.core.dag import DAG, SubDAG
+from repro.core.fries import ReconfigPlan, plan_epoch, plan_general
+from repro.core.parallel import broadcast_adjusted
 
 from .messages import EpochMarker, FCM
 from .simulator import Simulator
@@ -31,43 +40,8 @@ from .workload import WorkflowSpec
 
 
 def effective_logical_dag(spec: WorkflowSpec) -> DAG:
-    """The logical DAG with §7.2's broadcast adjustment: an operator with a
-    broadcast output edge behaves as if a Replicate operator followed it —
-    one-to-many overall, edge-wise one-to-one — so Algorithm 4's pruning
-    rules apply unchanged."""
-    out = DAG()
-    broadcasters = {a for (a, b), e in spec.edges.items() if e.strategy == "broadcast"}
-    for v in spec.dag.topological_order():
-        o = spec.dag.op(v)
-        out.add_operator(
-            Operator(
-                o.name,
-                one_to_many=o.one_to_many or v in broadcasters,
-                edgewise_one_to_one=o.edgewise_one_to_one
-                or (v in broadcasters and not o.one_to_many),
-                unique_per_txn=o.unique_per_txn,
-                blocking=o.blocking,
-                is_source=o.is_source,
-            )
-        )
-    for e in spec.dag.edges:
-        out.add_edge(*e)
-    return out
-
-
-def worker_edges_of(sim: Simulator, logical_edge: tuple[str, str]) -> list[tuple[str, str]]:
-    """Worker-level channels implementing one logical edge."""
-    a, b = logical_edge
-    strat = spec_strategy(sim, logical_edge)
-    pa = sim.spec.ops[a].parallelism
-    pb = sim.spec.ops[b].parallelism
-    if strat == "forward":
-        return [(f"{a}#{i}", f"{b}#{i}") for i in range(pa)]
-    return [(f"{a}#{i}", f"{b}#{j}") for i in range(pa) for j in range(pb)]
-
-
-def spec_strategy(sim: Simulator, edge: tuple[str, str]) -> str:
-    return sim.spec.edge_spec(edge).strategy
+    """The logical DAG the Fries planner runs on (§7.2 broadcast rule)."""
+    return broadcast_adjusted(spec.dag, spec.strategies())
 
 
 @dataclass
@@ -81,137 +55,109 @@ class ReconfigResult:
     plan: ReconfigPlan | None = None
 
 
-def _measure(sim: Simulator, workers: frozenset[str], t_req: float, plan=None) -> ReconfigResult:
-    times = {w: sim.apply_times[w] for w in workers if w in sim.apply_times}
-    done = len(times) == len(workers)
-    return ReconfigResult(
-        request_time=t_req,
-        apply_times=times,
-        delay=(max(times.values()) - t_req) if done else math.inf,
-        completed=done,
-        plan=plan,
-    )
+class PlanScheduler:
+    """Executes a :class:`ReconfigPlan`; subclasses say which plan."""
 
-
-class FriesScheduler:
-    """Fries runtime (§5.3/§6.2/§6.3/§7.2).
-
-    The plan (MCS, components, heads) is computed on the *logical* DAG with
-    the broadcast adjustment — the §6.3 pruning rules are defined on
-    logical edges (a hash edge's p² channels implement one logical edge) —
-    then mapped to the worker level: FCMs go to every worker of each head
-    operator, and epoch markers propagate on the worker channels of the
-    component's edges, exactly as the paper's Flink implementation (§8.1).
-    """
-
-    def __init__(self, *, prune: bool = True) -> None:
-        self.prune = prune
+    def __init__(self) -> None:
         self.plan: ReconfigPlan | None = None
-        self._workers: frozenset[str] = frozenset()
+
+    def make_plan(self, sim: Simulator, reconfig_ops: set[str]) -> ReconfigPlan:
+        raise NotImplementedError
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        plan = plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
-        self.plan = plan
-        for idx, comp in enumerate(plan.component_list):
-            scope = frozenset(
-                we for e in comp.edges for we in worker_edges_of(sim, e)
-            )
+        self.plan = plan = self.make_plan(sim, set(reconfig_ops))
+        for idx, (comp, heads) in enumerate(zip(plan.component_list, plan.heads)):
             marker = EpochMarker(
-                scope_id=f"fries-{t}-{idx}",
-                in_scope_edges=scope,
-                out_scope_edges=scope,
-                reconfig_workers=frozenset(
-                    w.name
-                    for op in (plan.reconfig_ops & comp.vertices)
-                    for w in sim.by_op[op]
-                ),
+                scope_id=f"{t}-{idx}",
+                edges=comp.edges,
+                reconfig_workers=sim.reconfig_workers(plan.reconfig_ops & comp.vertices),
             )
-            for head_op in plan.heads[idx]:
-                for w in sim.by_op[head_op]:
+            for op in heads:
+                for w in sim.by_op[op]:
                     sim.send_fcm(
                         w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency
                     )
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t, self.plan)
+        workers = sim.reconfig_workers(self.plan.reconfig_ops)
+        times = {w: sim.apply_times[w] for w in workers if w in sim.apply_times}
+        stale = sorted(w for w, at in times.items() if at < t)
+        if stale:
+            # Workers apply a reconfiguration only once, so a second request
+            # would otherwise be measured with the first one's apply times.
+            raise RuntimeError(
+                f"workers {stale} applied before the request at t={t}: "
+                "repeated reconfigurations of a worker are not supported"
+            )
+        done = len(times) == len(workers)
+        return ReconfigResult(
+            request_time=t,
+            apply_times=times,
+            delay=(max(times.values()) - t) if done else math.inf,
+            completed=done,
+            plan=self.plan,
+        )
 
 
-class EpochScheduler:
+class FriesScheduler(PlanScheduler):
+    """Fries runtime (§5.3/§6.2/§6.3/§7.2).
+
+    The plan (MCS, components, heads) is computed on the *logical* DAG with
+    the broadcast adjustment — the §6.3 pruning rules are defined on
+    logical edges (a hash edge's p² channels implement one logical edge) —
+    and executed at the worker level: FCMs go to every worker of each head
+    operator, and epoch markers propagate on the worker channels of the
+    component's edges, exactly as the paper's Flink implementation (§8.1).
+    """
+
+    def __init__(self, *, prune: bool = True) -> None:
+        super().__init__()
+        self.prune = prune
+
+    def make_plan(self, sim: Simulator, reconfig_ops: set[str]) -> ReconfigPlan:
+        return plan_general(effective_logical_dag(sim.spec), reconfig_ops, prune=self.prune)
+
+
+class EpochScheduler(PlanScheduler):
     """EBR baseline: new epoch at every source, global alignment."""
 
-    def __init__(self) -> None:
-        self._workers: frozenset[str] = frozenset()
-
-    def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        all_edges = frozenset(sim.pdf.dag.edges)
-        marker = EpochMarker(
-            scope_id=f"ebr-{t}",
-            in_scope_edges=all_edges,
-            out_scope_edges=all_edges,
-            reconfig_workers=workers,
-        )
-        for op in sim.spec.dag.sources():
-            for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("inject_marker", marker), at=t + sim.spec.fcm_latency)
-
-    def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t)
+    def make_plan(self, sim: Simulator, reconfig_ops: set[str]) -> ReconfigPlan:
+        return plan_epoch(sim.spec.dag, reconfig_ops)
 
 
-class SavepointScheduler(EpochScheduler):
+class SavepointScheduler(PlanScheduler):
     """Flink savepoint + stop-and-restart: EBR delay at the *sinks* (the
     whole old epoch must drain) plus a fixed stop/restart overhead."""
 
     def __init__(self, stop_restart_cost: float = 10.0) -> None:
         super().__init__()
         self.stop_restart_cost = stop_restart_cost
-        self._sink_workers: frozenset[str] = frozenset()
 
-    def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
+    def make_plan(self, sim: Simulator, reconfig_ops: set[str]) -> ReconfigPlan:
         # The savepoint must cover every operator, so the marker also
         # targets the sinks: their apply time marks epoch completion.
-        workers = sim.reconfig_workers(reconfig_ops)
-        sinks = frozenset(
-            w.name for op in sim.spec.dag.sinks() for w in sim.by_op[op]
-        )
-        self._workers = workers
-        self._sink_workers = sinks
-        all_edges = frozenset(sim.pdf.dag.edges)
-        marker = EpochMarker(
-            scope_id=f"svp-{t}",
-            in_scope_edges=all_edges,
-            out_scope_edges=all_edges,
-            reconfig_workers=workers | sinks,
-        )
-        for op in sim.spec.dag.sources():
-            for w in sim.by_op[op]:
-                sim.send_fcm(w.name, FCM("inject_marker", marker), at=t + sim.spec.fcm_latency)
+        return plan_epoch(sim.spec.dag, reconfig_ops | set(sim.spec.dag.sinks()))
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        r = _measure(sim, self._workers | self._sink_workers, t)
+        r = super().result(sim, t)
         if r.completed:
             r.delay += self.stop_restart_cost
         return r
 
 
-class NaiveFCMScheduler:
-    """§4.1 naive scheduler: FCM directly to each reconfiguration worker."""
+class NaiveFCMScheduler(PlanScheduler):
+    """§4.1 naive scheduler: FCM directly to each reconfiguration worker —
+    a plan with one marker-free singleton component per operator."""
 
-    def __init__(self) -> None:
-        self._workers: frozenset[str] = frozenset()
-
-    def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
-        for w in workers:
-            sim.send_fcm(w, FCM("apply"), at=t + sim.spec.fcm_latency)
-
-    def result(self, sim: Simulator, t: float) -> ReconfigResult:
-        return _measure(sim, self._workers, t)
+    def make_plan(self, sim: Simulator, reconfig_ops: set[str]) -> ReconfigPlan:
+        ops = sorted(reconfig_ops)
+        return ReconfigPlan(
+            reconfig_ops=frozenset(ops),
+            m=frozenset(ops),
+            mcs=SubDAG(frozenset(ops)),
+            component_list=tuple(SubDAG(frozenset({o})) for o in ops),
+            heads=tuple((o,) for o in ops),
+        )
 
 
 class MultiVersionScheduler:
@@ -224,12 +170,8 @@ class MultiVersionScheduler:
     post-hoc as the last v1 data operation on a reconfiguration worker.
     """
 
-    def __init__(self) -> None:
-        self._workers: frozenset[str] = frozenset()
-
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        workers = sim.reconfig_workers(reconfig_ops)
-        self._workers = workers
+        self._workers = sim.reconfig_workers(reconfig_ops)
         for w in sim.workers:
             sim.send_fcm(w, FCM("register"), at=t + sim.spec.fcm_latency)
         # Version bump after every registration acked (one more RTT).
@@ -264,11 +206,18 @@ def run_reconfig_experiment(
     *,
     t_request: float,
     t_end: float,
+    step: float | None = None,
 ) -> ReconfigResult:
-    """Warm the engine up to ``t_request``, issue the reconfiguration, run
-    to ``t_end`` (or drain), and return the measured delay."""
+    """Warm the engine up to ``t_request``, issue the reconfiguration, then
+    run in steps of ``step`` (default: one step to ``t_end``) until it
+    completes or ``t_end`` is reached, and return the measured delay."""
     sim.start()
     sim.run(until=t_request)
     scheduler.request(sim, reconfig_ops, t_request)
-    sim.run(until=t_end)
-    return scheduler.result(sim, t_request)
+    t = t_request
+    while True:
+        t = t_end if step is None else min(t + step, t_end)
+        sim.run(until=t)
+        r = scheduler.result(sim, t_request)
+        if r.completed or t >= t_end:
+            return r

@@ -1,12 +1,14 @@
 """Deterministic discrete-event simulator assembling workers + channels
 from a :class:`repro.engine.workload.WorkflowSpec`.
 
-The simulator also exposes the worker-level DAG G* (via
-``repro.core.parallel.expand``) so the Fries planner (Algorithms 2–4) runs
-directly on the parallel dataflow, as §7.2 prescribes, and keeps the run's
-observable logs: the operation schedule (for conflict-serializability
-checking), configuration apply times (reconfiguration delay), sink
-latencies and checkpoint snapshots.
+The simulator also builds the worker-level DAG G* (via
+``repro.core.parallel.expand``, which validates the spec's parallelism
+and partitionings) to map reconfiguration operators to their workers, and
+keeps the run's observable logs: the operation schedule (for
+conflict-serializability checking), configuration apply times
+(reconfiguration delay), sink latencies and checkpoint snapshots. Each
+channel knows the logical edge it implements, which is what epoch-marker
+scopes are written in.
 """
 from __future__ import annotations
 
@@ -47,9 +49,8 @@ class Simulator:
         self.sink_enabled = sink_log
         self.sink_log: list[tuple[float, float, int]] = []  # (arrival, created, txn)
         self.snapshots: dict[int, dict[str, int]] = {}
-        self.cancelled_ckpts: set[int] = set()
 
-        # Worker-level DAG (G*) for planning.
+        # Worker-level DAG (G*): validates the spec, maps 𝓡 to 𝓡*.
         self.pdf: ParallelDataflow = expand(
             spec.dag, spec.parallelism(), spec.strategies()
         )
@@ -81,7 +82,7 @@ class Simulator:
                     ch = Channel(
                         self, src.name, dst.name, latency=es.latency, capacity=es.capacity
                     )
-                    ch.src, ch.dst = src, dst
+                    ch.src, ch.dst, ch.edge = src, dst, (a, b)
                     dst.inputs.append(ch)
                     chans.append(ch)
                     self.channels.append(ch)

@@ -87,18 +87,14 @@ class Worker:
         processing of a tuple and markers stay FIFO behind sent data."""
         while self.control:
             fcm = self.control.popleft()
-            if fcm.kind == "apply":
-                self._apply_reconfig()
-            elif fcm.kind == "start_markers":
-                # Fries head: apply if targeted, then open the component's
-                # epoch by sending markers on in-component out-channels.
+            if fcm.kind == "start_markers":
+                # Plan head (a Fries component head, or a source under
+                # EBR): apply if targeted, then open the component's epoch
+                # by sending markers on in-component out-channels.
                 marker: EpochMarker = fcm.payload
                 if self.name in marker.reconfig_workers:
                     self._apply_reconfig()
                 self._forward_marker(marker)
-            elif fcm.kind == "inject_marker":
-                # EBR: a source starts a new epoch carrying the reconfig.
-                self._forward_marker(fcm.payload)
             elif fcm.kind == "inject_ckpt":
                 self._ckpt_snapshot(fcm.payload)
                 self._forward_all(fcm.payload)
@@ -118,8 +114,8 @@ class Worker:
 
     def _forward_marker(self, marker: EpochMarker) -> None:
         for dst_op, _, channels in self.out:
-            for ch in channels:
-                if (ch.src_name, ch.dst_name) in marker.out_scope_edges:
+            if (self.op.name, dst_op) in marker.edges:
+                for ch in channels:
                     ch.send(marker)
 
     def _forward_all(self, msg) -> None:
@@ -252,21 +248,14 @@ class Worker:
     # ------------------------------------------------------------------
     # epoch markers
     # ------------------------------------------------------------------
-    def _expected_marker_channels(self, marker: EpochMarker) -> list[Channel]:
-        return [
-            ch
-            for ch in self.inputs
-            if (ch.src_name, ch.dst_name) in marker.in_scope_edges
-        ]
-
     def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:
         sid = marker.scope_id
         self._align.setdefault(sid, set()).add(id(ch))
         self._align_marker[sid] = marker
         ch.blocked = True
         self._blocked_channels.setdefault(sid, []).append(ch)
-        expected = self._expected_marker_channels(marker)
-        if len(self._align[sid]) >= len(expected):
+        expected = sum(c.edge in marker.edges for c in self.inputs)
+        if len(self._align[sid]) >= expected:
             self._complete_alignment(sid)
 
     def _complete_alignment(self, sid: str) -> None:

@@ -19,6 +19,7 @@ from repro.engine.schedulers import (
     EpochScheduler,
     FriesScheduler,
     effective_logical_dag,
+    run_reconfig_experiment,
 )
 from repro.engine.simulator import Simulator
 from repro.engine.workload import WorkflowSpec
@@ -41,18 +42,10 @@ def run_delay(
     """Warm up, request the reconfiguration, run until it completes (or
     ``t_max``), return the delay in milliseconds (inf if not completed)."""
     sim = Simulator(spec_builder(), record="none")
-    sim.start()
-    sim.run(until=warmup)
-    scheduler.request(sim, reconfig_ops, warmup)
-    t = warmup
-    while t < t_max:
-        t = min(t + step, t_max)
-        sim.run(until=t)
-        r = scheduler.result(sim, warmup)
-        if r.completed:
-            return r.delay * 1000.0
-    r = scheduler.result(sim, warmup)
-    return r.delay * 1000.0 if r.completed else math.inf
+    r = run_reconfig_experiment(
+        sim, scheduler, reconfig_ops, t_request=warmup, t_end=t_max, step=step
+    )
+    return r.delay * 1000.0
 
 
 def plan_of(spec: WorkflowSpec, reconfig_ops: set[str], *, prune: bool = True) -> ReconfigPlan:
@@ -94,13 +87,16 @@ def table4_rows(
     rate: float = 8000.0,
     warmup: float = 12.0,
     t_max: float = 300.0,
+    w2_selectivity: dict[str, float] | None = None,
+    w3_selectivity: dict[str, float] | None = None,
 ) -> list[dict]:
     """Reproduce Table 4: delay of Fries vs Epoch for reconfiguration sets
-    in W2 and W3 (dataset-3 analogue)."""
+    in W2 and W3 (dataset-3 analogue). The join selectivities default to
+    the recorded ``defs.W2_SELECTIVITY``/``W3_SELECTIVITY``."""
     rows = []
     builders = {
-        "W2": lambda: defs.w2(parallelism=parallelism, rate=rate),
-        "W3": lambda: defs.w3(parallelism=parallelism, rate=rate * 0.75),
+        "W2": lambda: defs.w2(parallelism=parallelism, rate=rate, selectivity=w2_selectivity),
+        "W3": lambda: defs.w3(parallelism=parallelism, rate=rate * 0.75, selectivity=w3_selectivity),
     }
     for wf, ops, p_mcs, p_len, p_fries, p_epoch in PAPER_TABLE4:
         build = builders[wf]

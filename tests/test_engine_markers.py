@@ -1,16 +1,22 @@
 """Marker-protocol tests: FIFO ordering behind data, epoch alignment,
 scope filtering, FCM bypass, and multi-version tagging."""
+from collections import Counter
+
 from repro.core.dag import DAG
 from repro.engine import (
+    Channel,
+    EpochMarker,
     EpochScheduler,
     FriesScheduler,
     KeyDist,
     MultiVersionScheduler,
     OpSpec,
+    SavepointScheduler,
     Simulator,
     WorkflowSpec,
     run_reconfig_experiment,
 )
+from repro.workflows import defs
 
 
 def slow_chain(cost=0.02, n=200) -> WorkflowSpec:
@@ -111,6 +117,49 @@ class TestAlignment:
         )
         assert res.completed
         assert check(sim.schedule_log).serializable
+
+
+class TestLogicalEdgeScope:
+    """A marker's scope is a set of logical edges; it reaches every worker
+    channel of an in-scope edge exactly once and no other channel (W2 at
+    p = 3: 9 channels per hash edge, 3 on the forward J4 → sink edge)."""
+
+    def run_counting(self, monkeypatch, scheduler, ops):
+        sends: Counter = Counter()
+        send = Channel.send
+
+        def counting_send(ch, msg):
+            if isinstance(msg, EpochMarker):
+                sends[ch] += 1
+            send(ch, msg)
+
+        monkeypatch.setattr(Channel, "send", counting_send)
+        sim = Simulator(defs.w2(parallelism=3, rate=600.0), record="none")
+        res = run_reconfig_experiment(sim, scheduler, ops, t_request=1.0, t_end=30.0)
+        assert res.completed
+        by_edge: dict = {}
+        for ch in sim.channels:
+            by_edge.setdefault(ch.edge, []).append(sends[ch])
+        return res, by_edge
+
+    def test_fries_markers_only_on_component_edges(self, monkeypatch):
+        _, by_edge = self.run_counting(monkeypatch, FriesScheduler(), {"J1", "J4"})
+        for e in (("J1", "J2"), ("J2", "J3"), ("J3", "J4")):
+            assert by_edge[e] == [1] * 9, e
+        assert by_edge[("src", "J1")] == [0] * 9
+        assert by_edge[("J4", "sink")] == [0] * 3
+
+    def test_epoch_markers_on_every_channel(self, monkeypatch):
+        _, by_edge = self.run_counting(monkeypatch, EpochScheduler(), {"J1", "J4"})
+        assert by_edge[("J4", "sink")] == [1] * 3
+        assert all(counts == [1] * len(counts) for counts in by_edge.values())
+        assert sum(map(len, by_edge.values())) == 4 * 9 + 3
+
+    def test_savepoint_sinks_apply(self, monkeypatch):
+        res, _ = self.run_counting(
+            monkeypatch, SavepointScheduler(stop_restart_cost=1.0), {"J1", "J4"}
+        )
+        assert {"sink#0", "sink#1", "sink#2"} <= set(res.apply_times)
 
 
 class TestMultiVersionTagging:

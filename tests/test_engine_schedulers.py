@@ -21,6 +21,7 @@ from repro.engine import (
     WorkflowSpec,
     run_reconfig_experiment,
 )
+from repro.workflows import defs
 
 
 def fig2_spec(fm_cost=0.02) -> WorkflowSpec:
@@ -186,6 +187,23 @@ class TestMultiVersionScheduler:
         _, r_mv = run(fig2_spec(), MultiVersionScheduler(), {"FM", "MC"})
         _, r_fr = run(fig2_spec(), FriesScheduler(), {"FM", "MC"})
         assert r_mv.delay > 10 * r_fr.delay
+
+
+class TestRepeatedRequest:
+    def test_second_w1_request_raises_instead_of_negative_delay(self):
+        """Workers apply a reconfiguration only once, so a second request
+        on W1's FD would be measured with the first one's apply times (a
+        negative delay). It must fail loudly instead."""
+        sim = Simulator(defs.w1(), record="none")
+        first = run_reconfig_experiment(
+            sim, FriesScheduler(), {"FD"}, t_request=2.0, t_end=4.0
+        )
+        assert first.completed and first.delay >= 0
+        second = FriesScheduler()
+        second.request(sim, {"FD"}, 4.0)
+        sim.run(until=10.0)
+        with pytest.raises(RuntimeError, match="applied before the request"):
+            second.result(sim, 4.0)
 
 
 def _random_chain_spec(rng: random.Random):

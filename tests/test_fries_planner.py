@@ -38,7 +38,7 @@ class TestAlgorithm2:
     def test_singleton_no_marker_edges(self):
         plan = plan_one_to_one(fig5_dag(), {"D"})
         assert comps_of(plan) == [["D"]]
-        assert not plan.marker_edges
+        assert not plan.component_list[0].edges
 
     def test_fig6_separate_paths(self):
         # X splits to C and D (one-to-one split): two singleton components,
@@ -53,14 +53,18 @@ class TestAlgorithm2:
 
     def test_marker_edges_are_component_edges(self):
         plan = plan_one_to_one(fig5_dag(), {"C", "F"})
-        assert plan.marker_edges == frozenset(
+        (comp,) = plan.component_list
+        assert comp.edges == frozenset(
             {("C", "D"), ("C", "E"), ("D", "F"), ("E", "F")}
         )
 
     def test_component_of(self):
         plan = plan_one_to_one(fig5_dag(), {"C", "F", "G"})
-        assert "D" in plan.component_of("D").vertices
-        assert plan.component_of("A") is None
+        with_d = [c for c in plan.component_list if "D" in c.vertices]
+        assert len(with_d) == 1 and with_d[0].edges == frozenset(
+            {("C", "D"), ("C", "E"), ("D", "F"), ("E", "F")}
+        )
+        assert not any("A" in c.vertices for c in plan.component_list)
 
 
 class TestAlgorithm3:
@@ -190,4 +194,9 @@ class TestEpochPlan:
         plan = plan_epoch(d, {"F"})
         assert set(plan.mcs.vertices) == set(d.vertices)
         assert plan.heads == (("A", "B"),)
-        assert plan.marker_edges == frozenset(d.edges)
+        assert plan.component_list[0].edges == frozenset(d.edges)
+
+    def test_epoch_plan_heads_in_source_order(self):
+        # The sources' FCM delivery order follows dag.sources(), not names.
+        d = DAG.from_edges([("s2", "X"), ("s1", "X"), ("X", "o")])
+        assert plan_epoch(d, {"X"}).heads == (("s2", "s1"),)
