@@ -44,7 +44,8 @@ class DAG:
 
     def __init__(self) -> None:
         self._ops: dict[str, Operator] = {}
-        self._edges: list[tuple[str, str]] = []
+        self._edges: list[tuple[str, str]] = []  # insertion order
+        self._edge_set: set[tuple[str, str]] = set()  # duplicate check
         self._out: dict[str, list[str]] = {}
         self._in: dict[str, list[str]] = {}
         self._topo: list[str] | None = None
@@ -67,8 +68,9 @@ class DAG:
         for v in (src, dst):
             if v not in self._ops:
                 raise KeyError(f"unknown operator {v!r}")
-        if (src, dst) in self._edges:
+        if (src, dst) in self._edge_set:
             raise ValueError(f"duplicate edge {src}->{dst}")
+        self._edge_set.add((src, dst))
         self._edges.append((src, dst))
         self._out[src].append(dst)
         self._in[dst].append(src)

@@ -62,9 +62,10 @@ def components(dag: DAG, mcs: SubDAG) -> list[SubDAG]:
     for a, b in mcs.edges:
         adj[a].add(b)
         adj[b].add(a)
+    rank = {v: i for i, v in enumerate(dag.topological_order())}
     seen: set[str] = set()
     out: list[SubDAG] = []
-    for v in sorted(mcs.vertices, key=dag.topological_order().index):
+    for v in sorted(mcs.vertices, key=rank.__getitem__):
         if v in seen:
             continue
         comp: set[str] = set()

@@ -6,6 +6,13 @@ when full, the sending worker blocks (backpressure propagates upstream —
 §3.2's reason small buffers do not fix epoch delay). Markers do not count
 against capacity (they are tiny control records riding the data FIFO), but
 they are strictly FIFO-ordered behind previously sent data.
+
+Wake-up rule: consuming a data message frees one unit of capacity, and
+the channel wakes its sender (``on_channel_freed``, at the same instant)
+only if the sender is waiting for room at that moment (a worker blocked on
+pending emits, or a source holding a backpressured tuple). A sender that
+is not waiting checks room itself before it next sends; if it then has to
+wait, the next pop on one of its channels wakes it.
 """
 from __future__ import annotations
 
@@ -42,19 +49,15 @@ class Channel:
         self.src: "Worker | None" = None
         self.edge: tuple[str, str] | None = None  # logical (src_op, dst_op)
         self.blocked = False  # alignment block: dst must not consume
-        self.head_seq = 0  # delivery sequence of current head (arrival order)
-        self._next_seq = 0
 
     # -- producer side ----------------------------------------------------
     def data_load(self) -> int:
         return self.in_transit + len(self.queue)
 
-    def has_room(self) -> bool:
-        return self.data_load() < self.capacity
-
     def send(self, msg) -> None:
         """Enqueue ``msg`` for delivery after ``latency``. Caller must have
-        checked ``has_room`` for data messages (markers always fit)."""
+        checked room (``data_load() < capacity``) for data messages;
+        markers always fit."""
         if isinstance(msg, DataMsg):
             self.in_transit += 1
         self.sim.schedule(self.sim.now + self.latency, self._deliver, msg)
@@ -68,15 +71,11 @@ class Channel:
             self.dst.notify()
 
     # -- consumer side -----------------------------------------------------
-    def head(self):
-        """(seq, msg) at the head, or None if empty/blocked."""
-        if self.blocked or not self.queue:
-            return None
-        return self.queue[0]
-
     def pop(self):
-        seq, msg = self.queue.popleft()
-        if isinstance(msg, DataMsg) and self.src is not None:
-            # Space freed: wake a sender blocked on this channel.
-            self.sim.schedule(self.sim.now, self.src.on_channel_freed, self)
+        """Remove and return the head message (the consumer has checked that
+        the channel is unblocked and non-empty)."""
+        _, msg = self.queue.popleft()
+        src = self.src
+        if isinstance(msg, DataMsg) and src is not None and src.waiting_for_room():
+            self.sim.schedule(self.sim.now, src.on_channel_freed, self)
         return msg

@@ -15,11 +15,13 @@ from dataclasses import dataclass
 from typing import Any
 
 
-@dataclass
+@dataclass(slots=True)
 class DataMsg:
     """A data tuple: transaction id (= source tuple id), routing key, and a
-    creation timestamp for end-to-end latency accounting. ``version_tag``
-    is used only by the FCM multi-version scheduler (§4.1)."""
+    creation timestamp for end-to-end latency accounting. ``tuple_id`` is
+    the lineage id ``t{txn}/{worker}.{n}/...`` when the run records, else
+    empty. ``version_tag`` is used only by the FCM multi-version scheduler
+    (§4.1)."""
 
     txn: int
     key: int

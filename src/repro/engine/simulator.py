@@ -13,6 +13,8 @@ scopes are written in.
 from __future__ import annotations
 
 import heapq
+import math
+from collections import deque
 from typing import Callable, Iterable
 
 from repro.core.parallel import ParallelDataflow, expand
@@ -37,7 +39,9 @@ class Simulator:
     ) -> None:
         self.spec = spec
         self.now = 0.0
-        self._heap: list = []
+        self._heap: list = []  # (t, seq, fn, args) of events not on the FIFO
+        self._fifo: deque = deque()  # the same tuples, events at _fifo_t
+        self._fifo_t = 0.0  # the instant the FIFO serves: now, or NaN (none)
         self._evseq = 0
         self._gseq = 0
         self._txn = 0
@@ -92,8 +96,28 @@ class Simulator:
     # event loop
     # ------------------------------------------------------------------
     def schedule(self, t: float, fn: Callable, *args) -> None:
+        """Run ``fn(*args)`` at simulated time ``t``.
+
+        Events run in ``(t, schedule sequence)`` order. An event at the
+        current instant goes on a FIFO instead of the heap: everything it
+        could be ordered against at this instant was scheduled earlier, so
+        appending keeps that order at O(1). An event in the past (t < now)
+        moves the FIFO back onto the heap, and the heap takes every event
+        until the clock next moves, so the order stays that of one heap.
+        """
         self._evseq += 1
+        if t == self._fifo_t:
+            self._fifo.append((t, self._evseq, fn, args))
+            return
+        if t < self.now:
+            self._spill()
         heapq.heappush(self._heap, (t, self._evseq, fn, args))
+
+    def _spill(self) -> None:
+        for ev in self._fifo:
+            heapq.heappush(self._heap, ev)
+        self._fifo.clear()
+        self._fifo_t = math.nan  # compares unequal to every time
 
     def global_seq(self) -> int:
         self._gseq += 1
@@ -104,19 +128,37 @@ class Simulator:
         return self._txn
 
     def run(self, until: float | None = None, max_events: int = 50_000_000) -> None:
-        """Run sources + event loop until the heap drains or ``until``."""
+        """Run events in ``(t, seq)`` order until none is left or the next
+        one is later than ``until`` (then the clock stops at ``until``).
+
+        Each step drains the same-instant FIFO, then advances the clock to
+        the earliest heap event and moves every heap event at that instant
+        to the FIFO. Those were scheduled before the clock reached the
+        instant, so they precede (in heap order) whatever their execution
+        appends at the same instant: the FIFO replays exactly the old
+        single-heap order.
+        """
+        heap, fifo = self._heap, self._fifo
+        pop, popleft = heapq.heappop, fifo.popleft
+        if until is not None and self.now > until:
+            self._spill()  # the clock steps back; the FIFO's events are later
         n = 0
-        while self._heap:
-            t, _, fn, args = self._heap[0]
-            if until is not None and t > until:
-                self.now = until
+        while True:
+            while fifo:
+                _, _, fn, args = popleft()
+                fn(*args)
+                n += 1
+                if n >= max_events:
+                    raise RuntimeError("simulation exceeded max_events")
+            if not heap:
                 return
-            heapq.heappop(self._heap)
-            self.now = t
-            fn(*args)
-            n += 1
-            if n >= max_events:
-                raise RuntimeError("simulation exceeded max_events")
+            t = heap[0][0]
+            if until is not None and t > until:
+                self.now = self._fifo_t = until
+                return
+            self.now = self._fifo_t = t
+            while heap and heap[0][0] == t:
+                fifo.append(pop(heap))
 
     def start(self) -> None:
         for w in self.workers.values():
@@ -136,7 +178,9 @@ class Simulator:
     # ------------------------------------------------------------------
     # logging
     # ------------------------------------------------------------------
-    def _should_record(self, op_name: str) -> bool:
+    def records_op(self, op_name: str) -> bool:
+        """Whether data operations of ``op_name``'s workers are logged
+        (each worker asks once, at construction)."""
         if self.record == "all":
             return True
         if self.record == "watched":
@@ -144,10 +188,8 @@ class Simulator:
         return False
 
     def log_data(self, worker_name: str, msg, version: int) -> None:
-        op_name = worker_name.rsplit("#", 1)[0]
-        if self._should_record(op_name):
-            self.schedule_log.record_data(msg.txn, worker_name, msg.tuple_id)
-            self.data_log.append((self.now, worker_name, msg.txn, version))
+        self.schedule_log.record_data(msg.txn, worker_name, msg.tuple_id)
+        self.data_log.append((self.now, worker_name, msg.txn, version))
 
     def log_update(self, worker_name: str) -> None:
         self.apply_times[worker_name] = self.now

@@ -67,9 +67,16 @@ class Worker:
         self._sj_state: dict[int, int] = {}
         self.processed = 0
         self._emit_count = 0
-        # Source state.
+        # Per-tuple path, fixed at construction: whether this worker's data
+        # operations are logged, whether lineage tuple ids are built at all
+        # (only a recording run reads them), and cost per config version.
+        self._logged = sim.records_op(op.name)
+        self._build_ids = sim.record != "none"
+        self._cost: dict[int, float] = {}
+        # Source state: the backpressured tuple and its target channels.
         self._emitted = 0
         self._src_pending: DataMsg | None = None
+        self._src_targets: list[Channel] = []
 
     # ------------------------------------------------------------------
     # control plane
@@ -140,25 +147,22 @@ class Worker:
             ch = self._next_channel()
             if ch is None:
                 return
-            seq_msg = ch.head()
-            assert seq_msg is not None
-            _, msg = seq_msg
+            msg = ch.pop()
             if isinstance(msg, DataMsg):
-                ch.pop()
                 self._start_processing(msg)
             elif isinstance(msg, EpochMarker):
-                ch.pop()
                 self._on_marker(ch, msg)
             elif isinstance(msg, CheckpointMarker):
-                ch.pop()
                 self._on_ckpt(ch, msg)
 
     def _next_channel(self) -> Channel | None:
-        best, best_seq = None, None
+        """The unblocked input whose head arrived first (global arrival
+        order), or None if no input has a message to consume."""
+        best, best_seq = None, 0
         for ch in self.inputs:
-            h = ch.head()
-            if h is not None and (best_seq is None or h[0] < best_seq):
-                best, best_seq = ch, h[0]
+            q = ch.queue
+            if q and not ch.blocked and (best is None or q[0][0] < best_seq):
+                best, best_seq = ch, q[0][0]
         return best
 
     def _start_processing(self, msg: DataMsg) -> None:
@@ -167,12 +171,15 @@ class Worker:
             if (self.multiversion and msg.version_tag is not None)
             else self.version
         )
-        self.sim.log_data(self.name, msg, version)
+        if self._logged:
+            self.sim.log_data(self.name, msg, version)
         self.state = "busy"
-        cost = self.op.cost_at(version, self.index)
-        self.sim.schedule(self.sim.now + cost, self._finish, msg, version)
+        cost = self._cost.get(version)
+        if cost is None:
+            cost = self._cost[version] = self.op.cost_at(version, self.index)
+        self.sim.schedule(self.sim.now + cost, self._finish, msg)
 
-    def _finish(self, msg: DataMsg, version: int) -> None:
+    def _finish(self, msg: DataMsg) -> None:
         self.processed += 1
         self._pending = self._emissions(msg)
         self.state = "blocked"
@@ -211,14 +218,11 @@ class Worker:
         emits: list[tuple[Channel, DataMsg]] = []
         for edge_idx, key in targets:
             dst_op, strategy, channels = out[edge_idx]
-            self._emit_count += 1
-            child = DataMsg(
-                txn=msg.txn,
-                key=key,
-                tuple_id=f"{msg.tuple_id}/{self.name}.{self._emit_count}",
-                created=msg.created,
-                version_tag=msg.version_tag,
-            )
+            tuple_id = ""
+            if self._build_ids:
+                self._emit_count += 1
+                tuple_id = f"{msg.tuple_id}/{self.name}.{self._emit_count}"
+            child = DataMsg(msg.txn, key, tuple_id, msg.created, msg.version_tag)
             if strategy == "broadcast":
                 emits.extend((ch, child) for ch in channels)
             elif strategy == "forward":
@@ -228,8 +232,9 @@ class Worker:
         return emits
 
     def _try_emit(self) -> None:
-        if any(not ch.has_room() for ch, _ in self._pending):
-            return  # stay blocked; on_channel_freed retries
+        for ch, _ in self._pending:
+            if ch.in_transit + len(ch.queue) >= ch.capacity:
+                return  # stay blocked; on_channel_freed retries
         for ch, m in self._pending:
             ch.send(m)
         self._pending = []
@@ -238,6 +243,12 @@ class Worker:
             self._schedule_next_emit()
         else:
             self.notify()
+
+    def waiting_for_room(self) -> bool:
+        """True while a send is held back by a full output channel."""
+        return (self.state == "blocked" and bool(self._pending)) or (
+            self._src_pending is not None
+        )
 
     def on_channel_freed(self, channel: Channel) -> None:
         if self.state == "blocked" and self._pending:
@@ -306,12 +317,21 @@ class Worker:
             else self.rng.randrange(1 << 30)
         )
         self._src_pending = DataMsg(
-            txn=txn,
-            key=key,
-            tuple_id=f"t{txn}",
-            created=self.sim.now,
-            version_tag=self.version if self.multiversion else None,
+            txn,
+            key,
+            f"t{txn}" if self._build_ids else "",
+            self.sim.now,
+            self.version if self.multiversion else None,
         )
+        targets: list[Channel] = []
+        for _, strategy, channels in self.out:
+            if strategy == "broadcast":
+                targets.extend(channels)
+            elif strategy == "forward":
+                targets.append(channels[self.index % len(channels)])
+            else:
+                targets.append(channels[key % len(channels)])
+        self._src_targets = targets
         self._source_try_send()
 
     def _source_try_send(self) -> None:
@@ -321,19 +341,13 @@ class Worker:
         # tuple enters the stream only now.
         if self.multiversion:
             msg.version_tag = self.version
-        emits: list[tuple[Channel, DataMsg]] = []
-        for dst_op, strategy, channels in self.out:
-            if strategy == "broadcast":
-                emits.extend((ch, msg) for ch in channels)
-            elif strategy == "forward":
-                emits.append((channels[self.index % len(channels)], msg))
-            else:
-                emits.append((channels[msg.key % len(channels)], msg))
-        if any(not ch.has_room() for ch, _ in emits):
-            return  # backpressured; resumed by on_channel_freed
-        self.sim.log_data(self.name, msg, self.version)
-        for ch, m in emits:
-            ch.send(m)
+        for ch in self._src_targets:
+            if ch.in_transit + len(ch.queue) >= ch.capacity:
+                return  # backpressured; resumed by on_channel_freed
+        if self._logged:
+            self.sim.log_data(self.name, msg, self.version)
+        for ch in self._src_targets:
+            ch.send(msg)
         self._src_pending = None
         self._emitted += 1
         self.processed += 1

@@ -35,6 +35,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match="duplicate edge"):
             d.add_edge("a", "b")
 
+    def test_edges_keep_insertion_order_and_reject_duplicates(self):
+        order = [("c", "d"), ("a", "b"), ("b", "d"), ("a", "c")]
+        d = DAG.from_edges(order)
+        assert d.edges == order
+        for e in order:
+            with pytest.raises(ValueError, match="duplicate edge"):
+                d.add_edge(*e)
+        d.add_edge("b", "c")
+        assert d.edges == order + [("b", "c")]
+
     def test_edge_to_unknown_vertex_rejected(self):
         d = DAG()
         d.add_operator("a")

@@ -1,4 +1,8 @@
-"""Engine substrate tests: channels, workers, routing, backpressure."""
+"""Engine substrate tests: channels, workers, routing, backpressure, and
+the event loop's order."""
+import heapq
+import random
+
 import pytest
 
 from repro.core.dag import DAG
@@ -236,3 +240,147 @@ class TestParallelRouting:
         sim.start()
         sim.run()
         assert len(sim.sink_log) == 200  # each tuple processed by all 4 workers
+
+
+class TestBackpressureWakeUp:
+    """A non-source sender blocked on full output channels resumes when a
+    consumer frees room (the sender-side wake-up path of ``Channel.pop``)."""
+
+    def _run(self, out_edges: list, ops: dict, edges: dict):
+        dag = DAG.from_edges([("src", "M")] + out_edges)
+        ops = {
+            "src": OpSpec("src", kind="source", rate=2000, n_tuples=60,
+                          key_dist=KeyDist.uniform(8)),
+            **ops,
+        }
+        edges = {("src", "M"): EdgeSpec("hash", capacity=1), **edges}
+        sim = Simulator(WorkflowSpec(dag=dag, ops=ops, edges=edges), sink_log=True)
+        (m,) = sim.by_op["M"]
+        wake_ups = []  # whether M was waiting for room when woken
+        freed = m.on_channel_freed
+
+        def on_channel_freed(ch):
+            wake_ups.append(m.waiting_for_room())
+            freed(ch)
+
+        m.on_channel_freed = on_channel_freed
+        sim.start()
+        sim.run()
+        # Woken while waiting (a second wake-up at the same instant can
+        # find it already resumed).
+        assert any(wake_ups)
+        return sim
+
+    def test_replicate_resumes_after_blocking_on_both_outputs(self):
+        sim = self._run(
+            [("M", "sink1"), ("M", "sink2")],
+            {
+                "M": OpSpec("M", kind="replicate"),
+                # Slow consumers (100/s and 50/s) behind tiny buffers.
+                "sink1": OpSpec("sink1", kind="sink", cost={1: 0.01}),
+                "sink2": OpSpec("sink2", kind="sink", cost={1: 0.02}),
+            },
+            {("M", "sink1"): EdgeSpec("hash", capacity=1),
+             ("M", "sink2"): EdgeSpec("hash", capacity=2)},
+        )
+        assert len(sim.sink_log) == 120
+        assert [w.processed for s in ("sink1", "sink2") for w in sim.by_op[s]] == [60, 60]
+
+    def test_broadcast_edge_resumes_after_blocking(self):
+        # One logical broadcast edge to two sink workers of different speed.
+        sim = self._run(
+            [("M", "sink")],
+            {
+                "M": OpSpec("M", kind="map"),
+                "sink": OpSpec("sink", kind="sink", parallelism=2, cost={1: 0.01},
+                               straggler={1: 2.0}),
+            },
+            {("M", "sink"): EdgeSpec("broadcast", capacity=2)},
+        )
+        assert len(sim.sink_log) == 120
+        assert [w.processed for w in sim.by_op["sink"]] == [60, 60]
+        # Backpressure stretched the run to the slow worker's pace (50/s).
+        assert max(t for t, _, _ in sim.sink_log) > 1.1
+
+
+class TestEventOrder:
+    """The event loop runs events in (time, schedule sequence) order — the
+    order of a single heap keyed on ``(t, seq)`` — however they mix
+    zero-delay and future events, and across ``run(until=...)`` calls."""
+
+    @staticmethod
+    def _program(sim, rng_seed: int, *, past: bool = False) -> list:
+        """Schedule a seeded random mix of events on ``sim``; return the
+        (time, label) log in run order and the (time, label) of every
+        scheduled event (labels count schedule calls)."""
+        ran, scheduled = [], []
+
+        def sched(t):
+            label = len(scheduled)
+            scheduled.append((t, label))
+            sim.schedule(t, event, label)
+
+        def event(label):
+            ran.append((sim.now, label))
+            rng = random.Random(rng_seed * 100_003 + label)
+            if len(scheduled) > 600:
+                return
+            for _ in range(rng.randrange(4)):
+                r = rng.random()
+                if r < 0.5:
+                    sched(sim.now)  # zero delay
+                elif past and r < 0.55:
+                    sched(sim.now - 1.0)
+                else:
+                    sched(sim.now + rng.choice([1.0, 1.0, 2.0, 3.0]))
+
+        rng = random.Random(rng_seed)
+        for _ in range(12):
+            sched(float(rng.randrange(3)))
+        sim.run(until=4.0)
+        for _ in range(3):
+            sched(sim.now)  # at `now` between two runs
+        sched(sim.now + 1.0)
+        sim.run(until=9.0)
+        sched(sim.now)
+        sim.run()
+        return ran, scheduled
+
+    @staticmethod
+    def _heap_reference(rng_seed: int, *, past: bool = False) -> list:
+        """The same program on a plain single-heap loop."""
+
+        class HeapLoop:
+            def __init__(self):
+                self.now, self.heap, self.seq = 0.0, [], 0
+
+            def schedule(self, t, fn, *args):
+                self.seq += 1
+                heapq.heappush(self.heap, (t, self.seq, fn, args))
+
+            def run(self, until=None):
+                while self.heap:
+                    t, _, fn, args = self.heap[0]
+                    if until is not None and t > until:
+                        self.now = until
+                        return
+                    heapq.heappop(self.heap)
+                    self.now = t
+                    fn(*args)
+
+        return TestEventOrder._program(HeapLoop(), rng_seed, past=past)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_time_then_schedule_sequence(self, seed):
+        sim = Simulator(chain_spec())
+        ran, scheduled = self._program(sim, seed)
+        assert len(ran) == len(scheduled) > 100
+        assert ran == sorted(scheduled)
+        assert (ran, scheduled) == self._heap_reference(seed)
+
+    @pytest.mark.parametrize("seed", [6, 7, 8])
+    def test_events_scheduled_in_the_past_keep_heap_order(self, seed):
+        sim = Simulator(chain_spec())
+        got = self._program(sim, seed, past=True)
+        assert got == self._heap_reference(seed, past=True)
+        assert any(t2 < t1 for (t1, _), (t2, _) in zip(got[0], got[0][1:]))
