@@ -48,30 +48,12 @@ class ReconfigPlan:
         """Max over components of the longest path (in edges) — the metric
         reported in Tables 4–6."""
         return max(
-            (_longest(c) for c in self.component_list),
+            (
+                DAG.from_edges(c.edges, extra_vertices=c.vertices).longest_path_edges()
+                for c in self.component_list
+            ),
             default=0,
         )
-
-
-def _longest(comp: SubDAG) -> int:
-    # Longest path within a component by DP over its (acyclic) edge set.
-    out: dict[str, list[str]] = {v: [] for v in comp.vertices}
-    indeg: dict[str, int] = {v: 0 for v in comp.vertices}
-    for a, b in comp.edges:
-        out[a].append(b)
-        indeg[b] += 1
-    order: list[str] = [v for v in comp.vertices if indeg[v] == 0]
-    dist = {v: 0 for v in comp.vertices}
-    i = 0
-    while i < len(order):
-        v = order[i]
-        i += 1
-        for w in out[v]:
-            dist[w] = max(dist[w], dist[v] + 1)
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                order.append(w)
-    return max(dist.values(), default=0)
 
 
 def _plan_from_m(dag: DAG, reconfig_ops: frozenset[str], m: set[str]) -> ReconfigPlan:

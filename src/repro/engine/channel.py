@@ -32,22 +32,21 @@ class Channel:
     def __init__(
         self,
         sim: "Simulator",
-        src_name: str,
-        dst_name: str,
+        src: "Worker",
+        dst: "Worker",
+        edge: tuple[str, str],
         *,
         latency: float = 0.001,
         capacity: int = 100,
     ) -> None:
         self.sim = sim
-        self.src_name = src_name
-        self.dst_name = dst_name
+        self.src = src
+        self.dst = dst
+        self.edge = edge  # the logical edge (src_op, dst_op) it implements
         self.latency = latency
         self.capacity = capacity
         self.queue: deque = deque()  # delivered, awaiting processing
         self.in_transit = 0
-        self.dst: "Worker | None" = None  # wired by the simulator
-        self.src: "Worker | None" = None
-        self.edge: tuple[str, str] | None = None  # logical (src_op, dst_op)
         self.blocked = False  # alignment block: dst must not consume
 
     # -- producer side ----------------------------------------------------
@@ -67,8 +66,7 @@ class Channel:
         if isinstance(msg, DataMsg):
             self.in_transit -= 1
         self.queue.append((self.sim.global_seq(), msg))
-        if self.dst is not None:
-            self.dst.notify()
+        self.dst.notify()
 
     # -- consumer side -----------------------------------------------------
     def pop(self):
@@ -76,6 +74,6 @@ class Channel:
         the channel is unblocked and non-empty)."""
         _, msg = self.queue.popleft()
         src = self.src
-        if isinstance(msg, DataMsg) and src is not None and src.waiting_for_room():
+        if isinstance(msg, DataMsg) and src.waiting_for_room():
             self.sim.schedule(self.sim.now, src.on_channel_freed, self)
         return msg

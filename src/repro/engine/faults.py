@@ -1,10 +1,14 @@
 """§7.3 — fault tolerance under the Fries scheduler.
 
-Checkpoints are taken with globally aligned checkpoint markers (epoch-based
-checkpointing [6,7]); each worker snapshots its configuration version when
-aligned. A snapshot is *consistent* for a reconfiguration iff every
-reconfiguration worker recorded the same version — otherwise recovery would
-resurrect a half-updated dataflow (the paper's F-old/G-new anomaly).
+A checkpoint is the EBR plan (:func:`~repro.core.fries.plan_epoch`: the
+whole DAG, sources as heads) started by the same runtime as a
+reconfiguration (:func:`~repro.engine.schedulers.start_plan`), with a
+snapshot in place of an apply: its marker carries the checkpoint id, and
+each worker snapshots its configuration version when aligned
+(epoch-based checkpointing [6,7]). A snapshot is *consistent* for a
+reconfiguration iff every reconfiguration worker recorded the same
+version — otherwise recovery would resurrect a half-updated dataflow (the
+paper's F-old/G-new anomaly).
 
 ``CheckpointCoordinator`` implements both policies:
 
@@ -15,14 +19,18 @@ resurrect a half-updated dataflow (the paper's F-old/G-new anomaly).
   received its FCM (a short window, since FCMs bypass data); subsequent
   markers are therefore always behind the FCMs.
 
-``recover`` restarts a fresh engine from a snapshot, restoring each
-reconfiguration worker's configuration version.
+``recover`` restarts a fresh engine from a snapshot and restores each
+worker's configuration version, nothing else: no source offsets, operator
+state or in-flight data are captured, so a recovered run does not replay
+the failed run's input.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .messages import CheckpointMarker, FCM
+from repro.core.fries import plan_epoch
+
+from .schedulers import start_plan
 from .simulator import Simulator
 from .workload import WorkflowSpec
 
@@ -47,16 +55,13 @@ class CheckpointCoordinator:
         self._blocked_until: float = -1.0
 
     def start_checkpoint(self, t: float) -> int:
-        """Inject a checkpoint marker at every source at time ``t`` (the
-        injection is deferred if checkpoints are currently blocked)."""
+        """Start a checkpoint marker at every source at time ``t`` (the
+        start is deferred if checkpoints are currently blocked)."""
         self._next_id += 1
         cid = self._next_id
         start = max(t, self._blocked_until)
         self.records[cid] = CheckpointRecord(cid, start)
-        marker = CheckpointMarker(cid)
-        for op in self.sim.spec.dag.sources():
-            for w in self.sim.by_op[op]:
-                self.sim.send_fcm(w.name, FCM("inject_ckpt", marker), at=start)
+        start_plan(self.sim, plan_epoch(self.sim.spec.dag, ()), f"ckpt{cid}", start, cid)
         return cid
 
     def on_reconfig_request(self, t: float, fcm_delivery_time: float) -> None:

@@ -1,13 +1,14 @@
 """Message types exchanged in the simulated engine.
 
-Data messages and epoch/checkpoint markers travel through FIFO data
-channels (markers cannot overtake data — the source of epoch-based
-reconfiguration delay). FCMs (Def 4.1) travel on the control plane and are
-delivered to a worker with a small fixed latency, never queued behind data.
+Data messages and epoch markers travel through FIFO data channels (markers
+cannot overtake data — the source of epoch-based reconfiguration delay).
+FCMs (Def 4.1) travel on the control plane and are delivered to a worker
+with a small fixed latency, never queued behind data.
 
 An epoch marker's scope is a set of *logical* edges: the marker is aligned
 and forwarded on every worker channel that implements one of them, so a
-scope's size does not grow with parallelism.
+scope's size does not grow with parallelism. A §7.3 checkpoint barrier is
+an epoch marker too: scoped to the whole DAG, carrying a ``ckpt_id``.
 """
 from __future__ import annotations
 
@@ -38,23 +39,18 @@ class EpochMarker:
     logical edges (src_op, dst_op) of one plan component — the whole DAG
     for EBR, one MCS component for Fries — on whose channels the marker is
     aligned and forwarded; ``reconfig_workers`` apply the piggybacked
-    reconfiguration when aligned."""
+    reconfiguration when aligned. A marker with a ``ckpt_id`` is a
+    checkpoint barrier: every worker it reaches snapshots when aligned."""
 
     scope_id: str
     edges: frozenset[tuple[str, str]]
     reconfig_workers: frozenset[str]
-
-
-@dataclass
-class CheckpointMarker:
-    """A checkpoint barrier (§7.3); globally aligned like an EBR marker."""
-
-    ckpt_id: int
+    ckpt_id: int | None = None
 
 
 @dataclass
 class FCM:
     """A fast control message from the controller to one worker."""
 
-    kind: str  # "start_markers" | "inject_ckpt" | "register" | "bump_version"
+    kind: str  # "start_markers" | "register" | "bump_version"
     payload: Any = None

@@ -5,7 +5,8 @@ time ``t`` and defines how the reconfiguration delay is measured.
 
 The three consistent schedulers differ only in their
 :class:`~repro.core.fries.ReconfigPlan`; :class:`PlanScheduler` executes
-any plan the same way. For each plan component it builds one
+any plan the same way (:func:`start_plan`, which §7.3 checkpoints use
+too). For each plan component it builds one
 :class:`~repro.engine.messages.EpochMarker` scoped to the component's
 *logical* edges and sends a ``start_markers`` FCM to every worker of the
 component's head operators; the delay is the time until the last worker
@@ -55,6 +56,24 @@ class ReconfigResult:
     plan: ReconfigPlan | None = None
 
 
+def start_plan(
+    sim: Simulator, plan: ReconfigPlan, scope: str, at: float, ckpt_id: int | None = None
+) -> None:
+    """Start ``plan``: per component, one marker scoped to its logical
+    edges (scope id ``{scope}-{index}``), delivered at ``at`` by a
+    ``start_markers`` FCM to every worker of the component's heads."""
+    for idx, (comp, heads) in enumerate(zip(plan.component_list, plan.heads)):
+        marker = EpochMarker(
+            scope_id=f"{scope}-{idx}",
+            edges=comp.edges,
+            reconfig_workers=sim.reconfig_workers(plan.reconfig_ops & comp.vertices),
+            ckpt_id=ckpt_id,
+        )
+        for op in heads:
+            for w in sim.by_op[op]:
+                sim.send_fcm(w.name, FCM("start_markers", marker), at=at)
+
+
 class PlanScheduler:
     """Executes a :class:`ReconfigPlan`; subclasses say which plan."""
 
@@ -65,18 +84,8 @@ class PlanScheduler:
         raise NotImplementedError
 
     def request(self, sim: Simulator, reconfig_ops: set[str], t: float) -> None:
-        self.plan = plan = self.make_plan(sim, set(reconfig_ops))
-        for idx, (comp, heads) in enumerate(zip(plan.component_list, plan.heads)):
-            marker = EpochMarker(
-                scope_id=f"{t}-{idx}",
-                edges=comp.edges,
-                reconfig_workers=sim.reconfig_workers(plan.reconfig_ops & comp.vertices),
-            )
-            for op in heads:
-                for w in sim.by_op[op]:
-                    sim.send_fcm(
-                        w.name, FCM("start_markers", marker), at=t + sim.spec.fcm_latency
-                    )
+        self.plan = self.make_plan(sim, set(reconfig_ops))
+        start_plan(sim, self.plan, str(t), t + sim.spec.fcm_latency)
 
     def result(self, sim: Simulator, t: float) -> ReconfigResult:
         workers = sim.reconfig_workers(self.plan.reconfig_ops)

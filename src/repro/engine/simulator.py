@@ -84,9 +84,8 @@ class Simulator:
                 for j in targets:
                     dst = self.by_op[b][j]
                     ch = Channel(
-                        self, src.name, dst.name, latency=es.latency, capacity=es.capacity
+                        self, src, dst, (a, b), latency=es.latency, capacity=es.capacity
                     )
-                    ch.src, ch.dst, ch.edge = src, dst, (a, b)
                     dst.inputs.append(ch)
                     chans.append(ch)
                     self.channels.append(ch)

@@ -11,11 +11,13 @@ to channel backpressure, and participates in the control protocols:
   ahead of this worker's *already sent* data, so marker FIFO holds.
 * **Epoch markers** ride the data FIFO. On popping a marker from a channel,
   the worker blocks that channel and waits for markers on every in-scope
-  input (epoch alignment, §3.1); on full alignment it applies the
-  piggybacked reconfiguration (if targeted), forwards the marker on its
-  in-scope output channels, and unblocks.
-* **Checkpoint markers** align globally and snapshot the worker's
-  configuration version (§7.3).
+  input (epoch alignment, §3.1). On full alignment it unblocks those
+  inputs; then — or at once, for a plan head started by a
+  ``start_markers`` FCM — it snapshots its configuration version if the
+  marker is a §7.3 checkpoint barrier, applies the piggybacked
+  reconfiguration if targeted, and forwards the marker on its in-scope
+  output channels. Reconfigurations and checkpoints share this one path
+  and one alignment table, keyed by scope.
 """
 from __future__ import annotations
 
@@ -24,7 +26,7 @@ from collections import deque
 from typing import TYPE_CHECKING
 
 from .channel import Channel
-from .messages import CheckpointMarker, DataMsg, EpochMarker, FCM
+from .messages import DataMsg, EpochMarker, FCM
 from .workload import OpSpec
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -56,13 +58,9 @@ class Worker:
         self.state = "idle"  # idle | busy | blocked
         self._pending: list[tuple[Channel, DataMsg]] = []
         self._dispatch_scheduled = False
-        # Epoch-marker alignment: scope_id -> set of channel ids received.
-        self._align: dict[str, set[int]] = {}
-        self._align_marker: dict[str, EpochMarker] = {}
-        self._blocked_channels: dict[str, list[Channel]] = {}
-        # Checkpoint alignment.
-        self._ckpt_align: dict[int, set[int]] = {}
-        self._ckpt_blocked: dict[int, list[Channel]] = {}
+        # Marker alignment: scope_id -> the inputs its marker arrived on,
+        # each blocked until the scope aligns (so listed at most once).
+        self._aligning: dict[str, list[Channel]] = {}
         # Self-join per-transaction arrival counts.
         self._sj_state: dict[int, int] = {}
         self.processed = 0
@@ -95,16 +93,9 @@ class Worker:
         while self.control:
             fcm = self.control.popleft()
             if fcm.kind == "start_markers":
-                # Plan head (a Fries component head, or a source under
-                # EBR): apply if targeted, then open the component's epoch
-                # by sending markers on in-component out-channels.
-                marker: EpochMarker = fcm.payload
-                if self.name in marker.reconfig_workers:
-                    self._apply_reconfig()
-                self._forward_marker(marker)
-            elif fcm.kind == "inject_ckpt":
-                self._ckpt_snapshot(fcm.payload)
-                self._forward_all(fcm.payload)
+                # Plan head (a Fries component head, or a source under EBR
+                # or a checkpoint): no in-scope inputs, so already aligned.
+                self._aligned(fcm.payload)
             elif fcm.kind == "register":
                 self.multiversion = True
             elif fcm.kind == "bump_version":
@@ -118,17 +109,6 @@ class Worker:
         self.applied = True
         self.version = 2
         self.sim.log_update(self.name)
-
-    def _forward_marker(self, marker: EpochMarker) -> None:
-        for dst_op, _, channels in self.out:
-            if (self.op.name, dst_op) in marker.edges:
-                for ch in channels:
-                    ch.send(marker)
-
-    def _forward_all(self, msg) -> None:
-        for _, _, channels in self.out:
-            for ch in channels:
-                ch.send(msg)
 
     # ------------------------------------------------------------------
     # data plane
@@ -150,10 +130,8 @@ class Worker:
             msg = ch.pop()
             if isinstance(msg, DataMsg):
                 self._start_processing(msg)
-            elif isinstance(msg, EpochMarker):
+            else:
                 self._on_marker(ch, msg)
-            elif isinstance(msg, CheckpointMarker):
-                self._on_ckpt(ch, msg)
 
     def _next_channel(self) -> Channel | None:
         """The unblocked input whose head arrived first (global arrival
@@ -260,43 +238,27 @@ class Worker:
     # epoch markers
     # ------------------------------------------------------------------
     def _on_marker(self, ch: Channel, marker: EpochMarker) -> None:
-        sid = marker.scope_id
-        self._align.setdefault(sid, set()).add(id(ch))
-        self._align_marker[sid] = marker
         ch.blocked = True
-        self._blocked_channels.setdefault(sid, []).append(ch)
-        expected = sum(c.edge in marker.edges for c in self.inputs)
-        if len(self._align[sid]) >= expected:
-            self._complete_alignment(sid)
-
-    def _complete_alignment(self, sid: str) -> None:
-        marker = self._align_marker.pop(sid)
-        self._align.pop(sid, None)
-        for ch in self._blocked_channels.pop(sid, []):
-            ch.blocked = False
-        if self.name in marker.reconfig_workers:
-            self._apply_reconfig()
-        self._forward_marker(marker)
-        self.notify()
-
-    # ------------------------------------------------------------------
-    # checkpoint markers
-    # ------------------------------------------------------------------
-    def _on_ckpt(self, ch: Channel, marker: CheckpointMarker) -> None:
-        cid = marker.ckpt_id
-        self._ckpt_align.setdefault(cid, set()).add(id(ch))
-        ch.blocked = True
-        self._ckpt_blocked.setdefault(cid, []).append(ch)
-        if len(self._ckpt_align[cid]) >= len(self.inputs):
-            self._ckpt_align.pop(cid)
-            for c in self._ckpt_blocked.pop(cid, []):
+        arrived = self._aligning.setdefault(marker.scope_id, [])
+        arrived.append(ch)
+        if len(arrived) >= sum(c.edge in marker.edges for c in self.inputs):
+            del self._aligning[marker.scope_id]
+            for c in arrived:
                 c.blocked = False
-            self._ckpt_snapshot(marker)
-            self._forward_all(marker)
+            self._aligned(marker)
             self.notify()
 
-    def _ckpt_snapshot(self, marker: CheckpointMarker) -> None:
-        self.sim.log_snapshot(marker.ckpt_id, self.name, self.version)
+    def _aligned(self, marker: EpochMarker) -> None:
+        """Snapshot if a checkpoint, apply if targeted, then forward the
+        marker on every in-scope output channel."""
+        if marker.ckpt_id is not None:
+            self.sim.log_snapshot(marker.ckpt_id, self.name, self.version)
+        if self.name in marker.reconfig_workers:
+            self._apply_reconfig()
+        for dst_op, _, channels in self.out:
+            if (self.op.name, dst_op) in marker.edges:
+                for ch in channels:
+                    ch.send(marker)
 
     # ------------------------------------------------------------------
     # source behaviour

@@ -1,10 +1,14 @@
 """Marker-protocol tests: FIFO ordering behind data, epoch alignment,
-scope filtering, FCM bypass, and multi-version tagging."""
+scope filtering, checkpoint markers, FCM bypass, and multi-version
+tagging."""
 from collections import Counter
+
+import pytest
 
 from repro.core.dag import DAG
 from repro.engine import (
     Channel,
+    CheckpointCoordinator,
     EpochMarker,
     EpochScheduler,
     FriesScheduler,
@@ -13,6 +17,7 @@ from repro.engine import (
     OpSpec,
     SavepointScheduler,
     Simulator,
+    Worker,
     WorkflowSpec,
     run_reconfig_experiment,
 )
@@ -119,22 +124,33 @@ class TestAlignment:
         assert check(sim.schedule_log).serializable
 
 
+def count_marker_sends(monkeypatch) -> Counter:
+    """Count, per channel, the epoch markers sent on it from now on."""
+    sends: Counter = Counter()
+    send = Channel.send
+
+    def counting_send(ch, msg):
+        if isinstance(msg, EpochMarker):
+            sends[ch] += 1
+        send(ch, msg)
+
+    monkeypatch.setattr(Channel, "send", counting_send)
+    return sends
+
+
+def w2_p3() -> Simulator:
+    """W2 at p = 3: 9 channels per hash edge, 3 on the forward J4 → sink
+    edge, 39 in all."""
+    return Simulator(defs.w2(parallelism=3, rate=600.0), record="none")
+
+
 class TestLogicalEdgeScope:
     """A marker's scope is a set of logical edges; it reaches every worker
-    channel of an in-scope edge exactly once and no other channel (W2 at
-    p = 3: 9 channels per hash edge, 3 on the forward J4 → sink edge)."""
+    channel of an in-scope edge exactly once and no other channel."""
 
     def run_counting(self, monkeypatch, scheduler, ops):
-        sends: Counter = Counter()
-        send = Channel.send
-
-        def counting_send(ch, msg):
-            if isinstance(msg, EpochMarker):
-                sends[ch] += 1
-            send(ch, msg)
-
-        monkeypatch.setattr(Channel, "send", counting_send)
-        sim = Simulator(defs.w2(parallelism=3, rate=600.0), record="none")
+        sends = count_marker_sends(monkeypatch)
+        sim = w2_p3()
         res = run_reconfig_experiment(sim, scheduler, ops, t_request=1.0, t_end=30.0)
         assert res.completed
         by_edge: dict = {}
@@ -160,6 +176,61 @@ class TestLogicalEdgeScope:
             monkeypatch, SavepointScheduler(stop_restart_cost=1.0), {"J1", "J4"}
         )
         assert {"sink#0", "sink#1", "sink#2"} <= set(res.apply_times)
+
+
+class TestCheckpointMarkers:
+    """A §7.3 checkpoint is the EBR plan with a snapshot in place of an
+    apply: its marker reaches every worker channel exactly once, and it
+    aligns in the same per-scope table as a concurrent reconfiguration,
+    both completing and leaving no channel blocked."""
+
+    def test_checkpoint_marker_on_every_channel_once(self, monkeypatch):
+        sends = count_marker_sends(monkeypatch)
+        snapshots: Counter = Counter()
+        log_snapshot = Simulator.log_snapshot
+
+        def counting_snapshot(sim, ckpt_id, worker_name, version):
+            snapshots[worker_name] += 1
+            log_snapshot(sim, ckpt_id, worker_name, version)
+
+        monkeypatch.setattr(Simulator, "log_snapshot", counting_snapshot)
+        sim = w2_p3()
+        coord = CheckpointCoordinator(sim)
+        sim.start()
+        sim.run(until=1.0)
+        cid = coord.start_checkpoint(1.0)
+        sim.run(until=10.0)
+        assert len(sim.channels) == 4 * 9 + 3
+        assert [sends[ch] for ch in sim.channels] == [1] * len(sim.channels)
+        assert snapshots == Counter(set(sim.workers))
+        assert cid in coord.valid_snapshots()
+
+    @pytest.mark.parametrize("scheduler", [EpochScheduler, FriesScheduler])
+    def test_checkpoint_aligns_beside_a_reconfiguration(self, monkeypatch, scheduler):
+        # When each marker is popped, and whether it is a checkpoint's.
+        popped: list[tuple[float, bool]] = []
+        on_marker = Worker._on_marker
+
+        def recording_on_marker(w, ch, marker):
+            popped.append((w.sim.now, marker.ckpt_id is not None))
+            on_marker(w, ch, marker)
+
+        monkeypatch.setattr(Worker, "_on_marker", recording_on_marker)
+        sim = w2_p3()
+        coord = CheckpointCoordinator(sim)
+        sched = scheduler()
+        sim.start()
+        sim.run(until=1.0)
+        cid = coord.start_checkpoint(1.0)
+        sched.request(sim, {"J1", "J4"}, 1.0)
+        sim.run(until=10.0)
+        # The two scopes' markers go through the alignment table together.
+        first_reconfig = min(t for t, ckpt in popped if not ckpt)
+        assert first_reconfig < max(t for t, ckpt in popped if ckpt)
+        assert set(sim.snapshots[cid]) == set(sim.workers)
+        assert sched.result(sim, 1.0).completed
+        assert not any(ch.blocked for ch in sim.channels)
+        assert not any(w._aligning for w in sim.workers.values())
 
 
 class TestMultiVersionTagging:
